@@ -272,19 +272,9 @@ class Control:
                 "ground() was already called; build a fresh Control "
                 "(multi-shot grounding is not supported)"
             )
-        if program is None:
-            text = "\n".join(self._parts)
-            if lint:
-                self._lint(text, lint)
-            program, hit = _ground_text_cached(text, cache, mode, domain_prune)
-            self.ground_cache_hit = hit
-            if not hit:
-                self.grounds += 1
-                if program.grounding is not None:
-                    self.grounding_seconds += program.grounding.seconds
+        program = self._instantiate(program, cache, mode, lint, domain_prune)
         self._shows = program.shows
         self._external_signatures = set(program.externals)
-        self._ground_program = program
         if self.solver_core == "flat":
             from repro.asp.flatsolver import FlatSolver
 
@@ -302,6 +292,32 @@ class Control:
             solver.register_propagator(propagator)
             propagator.init(init)
 
+    def _instantiate(
+        self,
+        program: Optional[GroundProgram] = None,
+        cache: bool = True,
+        mode: str = "seminaive",
+        lint: object = False,
+        domain_prune: Optional[bool] = None,
+    ) -> GroundProgram:
+        """The lint + instantiate phase of :meth:`ground`, no translation.
+
+        The parallel explorer runs only this phase in its parent and
+        ships the resulting artifact to the workers.
+        """
+        if program is None:
+            text = "\n".join(self._parts)
+            if lint:
+                self._lint(text, lint)
+            program, hit = _ground_text_cached(text, cache, mode, domain_prune)
+            self.ground_cache_hit = hit
+            if not hit:
+                self.grounds += 1
+                if program.grounding is not None:
+                    self.grounding_seconds += program.grounding.seconds
+        self._ground_program = program
+        return program
+
     def _lint(self, text: str, lint: object) -> None:
         """Run the static analyzer over ``text`` (the ``lint=`` hook)."""
         import warnings as _warnings
@@ -317,7 +333,7 @@ class Control:
             return
         for diagnostic in report.diagnostics:
             if diagnostic.severity is not Severity.INFO:
-                _warnings.warn(str(diagnostic), stacklevel=3)
+                _warnings.warn(str(diagnostic), stacklevel=4)
 
     # -- introspection ------------------------------------------------------------
 

@@ -27,7 +27,7 @@ assignments whose objective lower bound exceeds a (mutable) upper bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -278,39 +278,58 @@ class ParetoPoint:
     implementation: Implementation
 
 
+def _stat(default, merge: Optional[str] = None, worker: object = None):
+    """Declare a :class:`DseStatistics` field and how workers report it.
+
+    ``merge`` says how the parallel explorer folds the workers' values
+    into the parent's: ``"sum"``, ``"max"`` or ``"any"`` (None: the
+    parent produces the value alone).  ``worker`` puts the field into
+    every ``per_worker`` entry, under its own name (True) or under the
+    given key.
+    """
+    return field(default=default, metadata={"merge": merge, "worker": worker})
+
+
 @dataclass
 class DseStatistics:
-    """Search effort metrics reported by the benchmarks (Table II)."""
+    """Search effort metrics reported by the benchmarks (Table II).
 
-    models_enumerated: int = 0
-    pareto_points: int = 0
-    pruned_partial: int = 0
-    pruned_total: int = 0
-    conflicts: int = 0
-    decisions: int = 0
+    Every field is declared once, here; serialization, the parallel
+    workers' reports and their merge all iterate over ``fields()``.
+    """
+
+    models_enumerated: int = _stat(0, "sum", True)
+    #: Front size (per worker: the locally enumerated survivors).
+    pareto_points: int = _stat(0, worker="pareto_points_local")
+    pruned_partial: int = _stat(0, "sum", True)
+    pruned_total: int = _stat(0, "sum", True)
+    conflicts: int = _stat(0, "sum", True)
+    decisions: int = _stat(0, "sum", True)
     #: Unit-propagation assignments made by the solver core.
-    propagations: int = 0
+    propagations: int = _stat(0, "sum", True)
     #: Luby restarts performed by the solver core.
-    restarts: int = 0
+    restarts: int = _stat(0, "sum", True)
     #: Clause store footprint at the end of the run (arena bytes for the
     #: flat core; an arena-equivalent estimate for the reference core).
-    clause_db_bytes: int = 0
-    #: Which CDNL engine ran the search ("flat" or "reference").
-    solver_core: str = ""
-    archive_comparisons: int = 0
-    wall_time: float = 0.0
-    interrupted: bool = False
+    clause_db_bytes: int = _stat(0, "sum", True)
+    #: Which CDNL engine ran the search ("flat" or "reference"; all
+    #: workers run the same one).
+    solver_core: str = _stat("", "max", True)
+    archive_comparisons: int = _stat(0, "sum", True)
+    #: Run wall seconds (per worker: seconds inside solver calls).
+    wall_time: float = _stat(0.0, worker=True)
+    interrupted: bool = _stat(False, "any", True)
     #: Additive approximation factor (0 = exact).
-    epsilon: int = 0
+    epsilon: int = _stat(0, "max")
     #: Wall seconds spent in boolean (unit) propagation.
-    time_boolean_propagation: float = 0.0
+    time_boolean_propagation: float = _stat(0.0, "sum", True)
     #: Wall seconds spent in theory propagator callbacks.
-    time_theory_propagation: float = 0.0
+    time_theory_propagation: float = _stat(0.0, "sum", True)
     #: Wall seconds spent in dominance checks (subset of theory time).
-    time_dominance: float = 0.0
+    time_dominance: float = _stat(0.0, "sum", True)
     #: Wall seconds spent instantiating the program (0 when a cached or
     #: shipped ground program was reused).
-    grounding_seconds: float = 0.0
+    grounding_seconds: float = _stat(0.0, "sum", True)
     #: Rule instantiations attempted while grounding this instance.
     instantiations: int = 0
     #: Semi-naive re-evaluation rounds beyond each batch's first pass.
@@ -320,19 +339,19 @@ class DseStatistics:
     #: How many times the instance was actually ground across the run
     #: (parallel exploration sums the parent and all workers; with the
     #: shipped artifact this stays at 1).
-    grounds: int = 0
+    grounds: int = _stat(0, "sum", True)
     #: Cubes stolen from other workers' deques (stealing scheduler).
-    steals: int = 0
+    steals: int = _stat(0, "sum", True)
     #: Over-budget cubes split one binding level deeper and re-queued.
     resplits: int = 0
     #: Cubes actually executed across all workers (>= the initial cube
     #: count when re-splitting fired; 0 for sequential runs).
-    cubes_executed: int = 0
+    cubes_executed: int = _stat(0, "sum", "cubes")
     #: Bytes of serialized archive deltas published by the workers.
-    archive_delta_bytes: int = 0
+    archive_delta_bytes: int = _stat(0, "sum", "delta_bytes")
     #: Foreign points skipped by the injection hash-dedup (points the
     #: local archive had already seen; skipping avoids re-scanning).
-    archive_dedup_skips: int = 0
+    archive_dedup_skips: int = _stat(0, "sum", "dedup_skips")
     #: Wall seconds spent in the static linter (0 when linting was off).
     lint_seconds: float = 0.0
     #: Diagnostic counts of the lint run (all zero when linting was off).
@@ -386,6 +405,11 @@ class DseResult:
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serializable representation of the front + statistics."""
+        statistics = {
+            item.name: getattr(self.statistics, item.name)
+            for item in fields(DseStatistics)
+        }
+        statistics["per_worker"] = list(statistics["per_worker"])
         return {
             "objectives": list(self.objectives),
             "front": [
@@ -403,54 +427,7 @@ class DseResult:
                 }
                 for point in self.front
             ],
-            "statistics": {
-                "models_enumerated": self.statistics.models_enumerated,
-                "pareto_points": self.statistics.pareto_points,
-                "pruned_partial": self.statistics.pruned_partial,
-                "pruned_total": self.statistics.pruned_total,
-                "conflicts": self.statistics.conflicts,
-                "decisions": self.statistics.decisions,
-                "propagations": self.statistics.propagations,
-                "restarts": self.statistics.restarts,
-                "clause_db_bytes": self.statistics.clause_db_bytes,
-                "solver_core": self.statistics.solver_core,
-                "archive_comparisons": self.statistics.archive_comparisons,
-                "wall_time": self.statistics.wall_time,
-                "interrupted": self.statistics.interrupted,
-                "epsilon": self.statistics.epsilon,
-                "time_boolean_propagation": self.statistics.time_boolean_propagation,
-                "time_theory_propagation": self.statistics.time_theory_propagation,
-                "time_dominance": self.statistics.time_dominance,
-                "grounding_seconds": self.statistics.grounding_seconds,
-                "instantiations": self.statistics.instantiations,
-                "delta_rounds": self.statistics.delta_rounds,
-                "ground_cache_hit": self.statistics.ground_cache_hit,
-                "grounds": self.statistics.grounds,
-                "steals": self.statistics.steals,
-                "resplits": self.statistics.resplits,
-                "cubes_executed": self.statistics.cubes_executed,
-                "archive_delta_bytes": self.statistics.archive_delta_bytes,
-                "archive_dedup_skips": self.statistics.archive_dedup_skips,
-                "lint_seconds": self.statistics.lint_seconds,
-                "lint_errors": self.statistics.lint_errors,
-                "lint_warnings": self.statistics.lint_warnings,
-                "lint_infos": self.statistics.lint_infos,
-                "symmetry_mode": self.statistics.symmetry_mode,
-                "symmetry_applied": self.statistics.symmetry_applied,
-                "symmetry_generators": self.statistics.symmetry_generators,
-                "symmetry_order": self.statistics.symmetry_order,
-                "symmetry_orbits": self.statistics.symmetry_orbits,
-                "symmetry_constraints": self.statistics.symmetry_constraints,
-                "symmetry_seconds": self.statistics.symmetry_seconds,
-                "domain_mode": self.statistics.domain_mode,
-                "domain_applied": self.statistics.domain_applied,
-                "domain_predicates": self.statistics.domain_predicates,
-                "domain_widenings": self.statistics.domain_widenings,
-                "domain_pruned": self.statistics.domain_pruned,
-                "domain_rules_skipped": self.statistics.domain_rules_skipped,
-                "domain_seconds": self.statistics.domain_seconds,
-                "per_worker": list(self.statistics.per_worker),
-            },
+            "statistics": statistics,
         }
 
     def save(self, path) -> None:
@@ -459,6 +436,55 @@ class DseResult:
         from pathlib import Path
 
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+
+def _instance_statistics(
+    stats: DseStatistics, instance: EncodedInstance, control: Control
+) -> None:
+    """Fill the instance-level fields: ground phase, lint, symmetry, domains.
+
+    ``control`` is the one that linted and ground ``instance``: the
+    sequential explorer's own, or the parallel parent's, which grounds
+    once for all workers.
+    """
+    stats.grounding_seconds = control.grounding_seconds
+    stats.ground_cache_hit = control.ground_cache_hit
+    stats.grounds = control.grounds
+    stats.lint_seconds = control.lint_seconds
+    report = control.lint_report
+    if report is not None:
+        stats.lint_errors = report.errors
+        stats.lint_warnings = report.warnings
+        stats.lint_infos = report.infos
+    domain_seconds = 0.0
+    grounding = control.ground_program.grounding
+    if grounding is not None:
+        stats.instantiations = grounding.instantiations
+        stats.delta_rounds = grounding.delta_rounds
+        if grounding.domain_prune:
+            stats.domain_mode = "prune"
+            stats.domain_predicates = grounding.domain_predicates
+            stats.domain_widenings = grounding.domain_widenings
+            stats.domain_pruned = grounding.pruned_instances
+            stats.domain_rules_skipped = grounding.rules_skipped
+            domain_seconds += grounding.domain_seconds
+    symmetry = getattr(instance, "symmetry", None)
+    if symmetry is not None:
+        stats.symmetry_mode = symmetry.mode
+        stats.symmetry_applied = symmetry.applied
+        stats.symmetry_generators = symmetry.generators
+        stats.symmetry_order = symmetry.order
+        stats.symmetry_orbits = symmetry.orbits
+        stats.symmetry_constraints = symmetry.constraints
+        stats.symmetry_seconds = symmetry.seconds
+    domain = getattr(instance, "domain", None)
+    if domain is not None:
+        stats.domain_mode = domain.mode
+        stats.domain_applied = domain.applied
+        stats.domain_predicates = max(stats.domain_predicates, domain.predicates)
+        stats.domain_widenings = max(stats.domain_widenings, domain.widenings)
+        domain_seconds += domain.seconds
+    stats.domain_seconds = domain_seconds
 
 
 class ExactParetoExplorer:
@@ -732,6 +758,8 @@ class ExactParetoExplorer:
         solver = self.control.solver
         stats.epsilon = self.epsilon
         stats.models_enumerated = self.models_enumerated
+        # Locally enumerated survivors (run() counts the whole archive).
+        stats.pareto_points = len(self.local_front())
         stats.conflicts = solver.stats.conflicts
         stats.decisions = solver.stats.decisions
         stats.propagations = solver.stats.propagations
@@ -745,50 +773,7 @@ class ExactParetoExplorer:
         stats.time_theory_propagation = solver.stats.time_theory
         stats.time_dominance = self.dominance.prune_time
         stats.archive_dedup_skips = self.dedup_skips
-        stats.grounding_seconds = self.control.grounding_seconds
-        stats.ground_cache_hit = self.control.ground_cache_hit
-        stats.grounds = self.control.grounds
-        grounding = self.control.ground_program.grounding
-        if grounding is not None:
-            stats.instantiations = grounding.instantiations
-            stats.delta_rounds = grounding.delta_rounds
-            if grounding.domain_prune:
-                stats.domain_mode = stats.domain_mode or "prune"
-                stats.domain_predicates = max(
-                    stats.domain_predicates, grounding.domain_predicates
-                )
-                stats.domain_widenings = max(
-                    stats.domain_widenings, grounding.domain_widenings
-                )
-                stats.domain_pruned = grounding.pruned_instances
-                stats.domain_rules_skipped = grounding.rules_skipped
-                stats.domain_seconds += grounding.domain_seconds
-        stats.lint_seconds = self.control.lint_seconds
-        report = self.control.lint_report
-        if report is not None:
-            stats.lint_errors = report.errors
-            stats.lint_warnings = report.warnings
-            stats.lint_infos = report.infos
-        symmetry = getattr(self.instance, "symmetry", None)
-        if symmetry is not None:
-            stats.symmetry_mode = symmetry.mode
-            stats.symmetry_applied = symmetry.applied
-            stats.symmetry_generators = symmetry.generators
-            stats.symmetry_order = symmetry.order
-            stats.symmetry_orbits = symmetry.orbits
-            stats.symmetry_constraints = symmetry.constraints
-            stats.symmetry_seconds = symmetry.seconds
-        domain = getattr(self.instance, "domain", None)
-        if domain is not None:
-            stats.domain_mode = domain.mode
-            stats.domain_applied = domain.applied
-            stats.domain_predicates = max(
-                stats.domain_predicates, domain.predicates
-            )
-            stats.domain_widenings = max(
-                stats.domain_widenings, domain.widenings
-            )
-            stats.domain_seconds += domain.seconds
+        _instance_statistics(stats, self.instance, self.control)
         return stats
 
     def run(

@@ -51,19 +51,22 @@ depth, steal order, re-split budget, or interleaving (property-tested in
 
 from __future__ import annotations
 
+import operator
 import queue
 import traceback
+from dataclasses import fields
 from itertools import product
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.asp.control import _ground_text_cached
+from repro.asp.control import Control
 from repro.asp.ground import GroundProgram
 from repro.dse.explorer import (
     DseResult,
     DseStatistics,
     ExactParetoExplorer,
     ParetoPoint,
+    _instance_statistics,
 )
 from repro.dse.pareto import non_dominated_union
 from repro.dse.scheduler import (
@@ -90,6 +93,10 @@ DEFAULT_CHUNK_CONFLICTS = 200
 #: are also flushed at every chunk and cube boundary, so batching only
 #: defers publication by at most one solver call).
 DELTA_BATCH = 8
+
+#: How the ``merge`` declaration of a :class:`DseStatistics` field folds
+#: one worker's value into the run total.
+_COMBINE = {"sum": operator.add, "max": max, "any": operator.or_}
 
 
 def binding_choices(
@@ -223,17 +230,15 @@ class _CubeRunner:
         self.current: Optional[Dict[str, str]] = None
         self._assumptions = []
         self._cube_mark = 0
-        self.cubes_executed = 0
-        self.interrupted = False
+        #: The worker's own counters; report() adds the explorer's.
+        self.stats = DseStatistics()
         self.injected = 0
-        self.delta_bytes = 0
-        self.wall_time = 0.0
 
     def begin(self, cube: Dict[str, str]) -> None:
         self.current = dict(cube)
         self._assumptions = self.explorer.bind_assumptions(self.current)
         self._cube_mark = self.explorer.conflict_mark()
-        self.cubes_executed += 1
+        self.stats.cubes_executed += 1
 
     def abandon(self) -> Dict[str, str]:
         """Hand the over-budget cube back (for the scheduler to split)."""
@@ -267,7 +272,7 @@ class _CubeRunner:
         assert self.current is not None
         started = perf_counter()
         status, point = self.explorer.solve_step(self._assumptions)
-        self.wall_time += perf_counter() - started
+        self.stats.wall_time += perf_counter() - started
         if status == "model":
             return ("model", point)
         if status == "interrupted":
@@ -276,7 +281,7 @@ class _CubeRunner:
                 self._conflict_limit is not None
                 and conflicts >= self._conflict_limit
             ):
-                self.interrupted = True
+                self.stats.interrupted = True
                 self.current = None
                 return ("halt", None)
             if (
@@ -291,35 +296,11 @@ class _CubeRunner:
         return ("cube_done", None)
 
     def report(self, worker_id: int) -> Dict[str, object]:
-        stats = self.explorer.collect_statistics()
-        front = self.explorer.local_front()
         return {
             "worker": worker_id,
-            "cubes": self.cubes_executed,
-            "front": front,
-            "interrupted": self.interrupted,
+            "front": self.explorer.local_front(),
             "injected": self.injected,
-            "delta_bytes": self.delta_bytes,
-            "dedup_skips": self.explorer.dedup_skips,
-            "statistics": {
-                "models_enumerated": stats.models_enumerated,
-                "pareto_points_local": len(front),
-                "conflicts": stats.conflicts,
-                "decisions": stats.decisions,
-                "propagations": stats.propagations,
-                "restarts": stats.restarts,
-                "clause_db_bytes": stats.clause_db_bytes,
-                "solver_core": stats.solver_core,
-                "pruned_partial": stats.pruned_partial,
-                "pruned_total": stats.pruned_total,
-                "archive_comparisons": stats.archive_comparisons,
-                "time_boolean_propagation": stats.time_boolean_propagation,
-                "time_theory_propagation": stats.time_theory_propagation,
-                "time_dominance": stats.time_dominance,
-                "grounds": stats.grounds,
-                "grounding_seconds": stats.grounding_seconds,
-                "wall_time": self.wall_time,
-            },
+            "statistics": self.explorer.collect_statistics(self.stats),
         }
 
 
@@ -368,7 +349,7 @@ def _worker_main(
         def flush() -> None:
             if buffer:
                 blob = ArchiveDelta(buffer).to_bytes()
-                runner.delta_bytes += len(blob)
+                runner.stats.archive_delta_bytes += len(blob)
                 result_queue.put(("delta", worker_id, blob))
                 del buffer[:]
 
@@ -396,7 +377,7 @@ def _worker_main(
                     # (its points so far are already flushed or in the
                     # buffer) and close the worker.
                     if runner.current is not None:
-                        runner.interrupted = True
+                        runner.stats.interrupted = True
                         runner.current = None
                     stopping = True
                 else:  # "stop"
@@ -509,7 +490,6 @@ class ParallelParetoExplorer:
                 "symmetry='off' to pin bindings"
             )
         self.explorer_options = dict(explorer_options)
-        self.epsilon = int(explorer_options.get("epsilon") or 0)
 
     def cubes(self) -> List[Dict[str, str]]:
         """The guiding-path cubes this run initially partitions into."""
@@ -550,15 +530,14 @@ class ParallelParetoExplorer:
         jobs = max(1, min(self.jobs, len(cubes)))
         scheduler = self._scheduler(cubes, jobs)
         self._cancelled = False
-        # Ground once in the parent and ship the artifact: the workers
-        # reuse it instead of re-instantiating the same program each.
-        ground, cache_hit = _ground_text_cached(
-            self.instance.program,
-            bool(self.explorer_options.get("ground_cache", True)),
-            "seminaive",
+        # Lint and ground once in the parent and ship the artifact: the
+        # workers reuse it instead of re-instantiating the same program.
+        control = Control()
+        control.add(self.instance.program)
+        ground = control._instantiate(
+            cache=bool(self.explorer_options.get("ground_cache", True)),
+            lint=self.explorer_options.get("lint", False),
         )
-        self._parent_ground = ground
-        self._parent_cache_hit = cache_hit
         if self.backend == "inline":
             reports = self._run_inline(
                 scheduler, jobs, ground, on_points, should_stop
@@ -567,7 +546,7 @@ class ParallelParetoExplorer:
             reports = self._run_processes(
                 scheduler, jobs, ground, on_points, should_stop
             )
-        return self._merge(scheduler, reports, perf_counter() - started)
+        return self._merge(scheduler, reports, control, perf_counter() - started)
 
     def _branch_tasks(self) -> Tuple[str, ...]:
         return tuple(
@@ -611,7 +590,7 @@ class ParallelParetoExplorer:
             # Serialize even inline so archive_delta_bytes measures the
             # real wire cost of the protocol.
             blob = ArchiveDelta(buffers[wid]).to_bytes()
-            runners[wid].delta_bytes += len(blob)
+            runners[wid].stats.archive_delta_bytes += len(blob)
             scheduler.observe(buffers[wid])
             if on_points is not None:
                 on_points(list(buffers[wid]))
@@ -631,7 +610,7 @@ class ParallelParetoExplorer:
                 for wid, runner in enumerate(runners):
                     flush(wid)
                     if runner.current is not None:
-                        runner.interrupted = True
+                        runner.stats.interrupted = True
                         runner.current = None
                 break
             progressed = False
@@ -716,7 +695,6 @@ class ParallelParetoExplorer:
         waiting = set()
         stopped = set()
         halted = set()
-        delta_bytes = 0
 
         def dispatch(wid: int) -> None:
             if wid in stopped:
@@ -780,7 +758,6 @@ class ParallelParetoExplorer:
                 kind, wid = message[0], message[1]
                 if kind == "delta":
                     blob = message[2]
-                    delta_bytes += len(blob)
                     vectors = ArchiveDelta.from_bytes(blob).vectors
                     scheduler.observe(vectors)
                     if on_points is not None:
@@ -831,7 +808,6 @@ class ParallelParetoExplorer:
             for q in [result_queue, *command_queues]:
                 q.close()
                 q.cancel_join_thread()
-        self._parent_delta_bytes = delta_bytes
         return reports
 
     # -- merge -------------------------------------------------------------------
@@ -840,96 +816,43 @@ class ParallelParetoExplorer:
         self,
         scheduler: CubeScheduler,
         reports: Dict[int, Dict[str, object]],
+        control: Control,
         wall_time: float,
     ) -> DseResult:
-        """Non-dominated union of the worker fronts + aggregated stats."""
+        """Non-dominated union of the worker fronts + aggregated stats.
+
+        Instance-level fields come from the parent's ``control``, which
+        linted and ground the instance for all workers; every field
+        declared with a ``merge`` then folds in the workers' values.
+        """
         ordered = [reports[wid] for wid in sorted(reports)]
         merged = non_dominated_union(*(report["front"] for report in ordered))
-        stats = DseStatistics()
-        stats.wall_time = wall_time
-        stats.interrupted = getattr(self, "_cancelled", False)
-        stats.epsilon = self.epsilon
-        stats.pareto_points = len(merged)
-        stats.steals = sum(scheduler.steals)
-        stats.resplits = scheduler.resplits
-        # Symmetry is a property of the shared instance, not of a worker.
-        symmetry = getattr(self.instance, "symmetry", None)
-        if symmetry is not None:
-            stats.symmetry_mode = symmetry.mode
-            stats.symmetry_applied = symmetry.applied
-            stats.symmetry_generators = symmetry.generators
-            stats.symmetry_order = symmetry.order
-            stats.symmetry_orbits = symmetry.orbits
-            stats.symmetry_constraints = symmetry.constraints
-            stats.symmetry_seconds = symmetry.seconds
-        # So is the domain analysis: the encode-time info is shared, the
-        # grounding counters come from the parent's (single) grounding.
-        domain = getattr(self.instance, "domain", None)
-        if domain is not None:
-            stats.domain_mode = domain.mode
-            stats.domain_applied = domain.applied
-            stats.domain_predicates = domain.predicates
-            stats.domain_widenings = domain.widenings
-            stats.domain_seconds += domain.seconds
-        # Grounding happened (at most) once, in the parent; the workers
-        # reused the shipped artifact, so their counts stay at zero.
-        parent_ground = getattr(self, "_parent_ground", None)
-        if parent_ground is not None:
-            stats.ground_cache_hit = self._parent_cache_hit
-            stats.grounds = 0 if self._parent_cache_hit else 1
-            if parent_ground.grounding is not None:
-                stats.instantiations = parent_ground.grounding.instantiations
-                stats.delta_rounds = parent_ground.grounding.delta_rounds
-                if not self._parent_cache_hit:
-                    stats.grounding_seconds = parent_ground.grounding.seconds
-                grounding = parent_ground.grounding
-                if grounding.domain_prune:
-                    stats.domain_mode = stats.domain_mode or "prune"
-                    stats.domain_predicates = max(
-                        stats.domain_predicates, grounding.domain_predicates
+        stats = DseStatistics(
+            pareto_points=len(merged),
+            wall_time=wall_time,
+            interrupted=self._cancelled,
+            resplits=scheduler.resplits,
+        )
+        _instance_statistics(stats, self.instance, control)
+        workers = [report["statistics"] for report in ordered]
+        for report, inner in zip(ordered, workers):
+            inner.steals = scheduler.steals[report["worker"]]
+            entry = {"worker": report["worker"], "injected": report["injected"]}
+            for item in fields(DseStatistics):
+                key = item.metadata.get("worker")
+                if key:
+                    entry[item.name if key is True else key] = getattr(
+                        inner, item.name
                     )
-                    stats.domain_widenings = max(
-                        stats.domain_widenings, grounding.domain_widenings
-                    )
-                    stats.domain_pruned = grounding.pruned_instances
-                    stats.domain_rules_skipped = grounding.rules_skipped
-                    stats.domain_seconds += grounding.domain_seconds
-        for report in ordered:
-            wid = report["worker"]
-            inner = report["statistics"]
-            stats.grounds += inner.get("grounds", 0)
-            stats.models_enumerated += inner["models_enumerated"]
-            stats.conflicts += inner["conflicts"]
-            stats.decisions += inner["decisions"]
-            stats.propagations += inner.get("propagations", 0)
-            stats.restarts += inner.get("restarts", 0)
-            stats.clause_db_bytes += inner.get("clause_db_bytes", 0)
-            stats.solver_core = inner.get("solver_core", stats.solver_core)
-            stats.pruned_partial += inner["pruned_partial"]
-            stats.pruned_total += inner["pruned_total"]
-            stats.archive_comparisons += inner["archive_comparisons"]
-            stats.time_boolean_propagation += inner["time_boolean_propagation"]
-            stats.time_theory_propagation += inner["time_theory_propagation"]
-            stats.time_dominance += inner["time_dominance"]
-            stats.interrupted = stats.interrupted or report["interrupted"]
-            stats.cubes_executed += report["cubes"]
-            stats.archive_delta_bytes += report.get("delta_bytes", 0)
-            stats.archive_dedup_skips += report.get("dedup_skips", 0)
-            steals = (
-                scheduler.steals[wid] if wid < len(scheduler.steals) else 0
-            )
-            stats.per_worker.append(
-                {
-                    "worker": wid,
-                    "cubes": report["cubes"],
-                    "injected": report["injected"],
-                    "interrupted": report["interrupted"],
-                    "steals": steals,
-                    "delta_bytes": report.get("delta_bytes", 0),
-                    "dedup_skips": report.get("dedup_skips", 0),
-                    **inner,
-                }
-            )
+            stats.per_worker.append(entry)
+        for item in fields(DseStatistics):
+            combine = _COMBINE.get(item.metadata.get("merge"))
+            if combine is None:
+                continue
+            value = getattr(stats, item.name)
+            for inner in workers:
+                value = combine(value, getattr(inner, item.name))
+            setattr(stats, item.name, value)
         names = tuple(objective.name for objective in self.instance.objectives)
         points = [
             ParetoPoint(tuple(vector), payload) for vector, payload in merged

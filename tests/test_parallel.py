@@ -6,12 +6,14 @@ vectors, same count — for any worker count, split depth, backend,
 archive-sharing mode, cube scheduler, steal order, and re-split budget.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import LintError
 from repro.asp.control import clear_ground_cache
 from repro.dse.explorer import ExactParetoExplorer, explore
 from repro.dse.parallel import (
@@ -206,6 +208,33 @@ class TestStatistics:
             "time_dominance",
         ):
             assert serialized[key] == pytest.approx(getattr(stats, key))
+
+
+class TestLint:
+    """The parent lints the encoding once, before grounding it."""
+
+    @pytest.mark.parametrize("backend", ("inline", "process"))
+    def test_lint_statistics_match_sequential(self, backend):
+        sequential = explore(curated("auto_engine"), lint=True).statistics
+        parallel = explore(
+            curated("auto_engine"), jobs=2, backend=backend, lint=True
+        ).statistics
+        assert sequential.lint_infos >= 1
+        assert parallel.lint_seconds > 0
+        for key in ("lint_errors", "lint_warnings", "lint_infos"):
+            assert getattr(parallel, key) == getattr(sequential, key), key
+
+    @pytest.mark.parametrize("backend", ("inline", "process"))
+    def test_lint_raise_aborts_the_run(self, backend):
+        instance = encode(curated("auto_engine"))
+        broken = dataclasses.replace(
+            instance,
+            program=instance.program + "\nlint_probe(X) :- not lint_absent(X).",
+        )
+        with pytest.raises(LintError):
+            ParallelParetoExplorer(
+                broken, jobs=2, backend=backend, lint="raise"
+            ).run()
 
 
 class TestGroundSharing:

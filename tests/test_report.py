@@ -1,6 +1,14 @@
 """Tests for the markdown report generator."""
 
+import pytest
+
 from repro.bench.report import _markdown_table, generate_report
+
+
+@pytest.fixture(scope="module")
+def quick_report():
+    """One quick report shared by the content checks (it takes seconds)."""
+    return generate_report(quick=True, budget=1500)
 
 
 class TestMarkdownTable:
@@ -17,8 +25,7 @@ class TestMarkdownTable:
 
 
 class TestReport:
-    def test_quick_report_complete(self):
-        text = generate_report(quick=True, budget=1500)
+    def test_quick_report_complete(self, quick_report):
         for heading in (
             "# Evaluation report",
             "## Table I",
@@ -31,7 +38,7 @@ class TestReport:
             "## Fig. 6",
             "## Fig. 7",
         ):
-            assert heading in text, heading
+            assert heading in quick_report, heading
 
     def test_report_cli(self, tmp_path, capsys):
         from repro.bench.__main__ import main
@@ -40,7 +47,6 @@ class TestReport:
         assert main(["report", "--quick", "--output", str(path)]) == 0
         assert path.read_text().startswith("# Evaluation report")
 
-    def test_indicators_in_fig1_section(self):
-        text = generate_report(quick=True, budget=1500)
-        assert "hypervolume" in text
-        assert "coverage" in text
+    def test_indicators_in_fig1_section(self, quick_report):
+        assert "hypervolume" in quick_report
+        assert "coverage" in quick_report
